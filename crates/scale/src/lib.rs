@@ -111,7 +111,8 @@ impl ScalingResult {
     /// Reset this result to the identity scaling of `g` **in place**: the
     /// `dr`/`dc`/`history` buffers are resized but keep their allocation
     /// once they have grown to the instance size, so batch workloads stop
-    /// allocating per solve.
+    /// allocating per solve. The error `max_j |deg(j) − 1|` is read off the
+    /// column pointers in O(n), without a gather over the nonzeros.
     pub fn reset_identity(&mut self, g: &BipartiteGraph) {
         self.dr.clear();
         self.dr.resize(g.nrows(), 1.0);
@@ -119,7 +120,7 @@ impl ScalingResult {
         self.dc.resize(g.ncols(), 1.0);
         self.history.clear();
         self.iterations = 0;
-        self.error = max_col_sum_error(g, &self.dr, &self.dc);
+        self.error = sinkhorn::identity_col_error(g);
     }
 
     /// Scaled entry `s_ij = dr[i] · dc[j]` (valid only where `a_ij = 1`).

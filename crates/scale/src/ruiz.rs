@@ -8,11 +8,31 @@
 //! unsymmetric matrices. We implement it so the ablation benchmark can
 //! reproduce that comparison (`ablation_bench`, and the quality impact in
 //! EXPERIMENTS.md).
+//!
+//! # Fused schedule
+//!
+//! [`ruiz_cancel_into`] makes `2k − 1` gather sweeps over the nonzeros for
+//! `k ≥ 1` iterations:
+//!
+//! - the first iteration reads `dr = dc ≡ 1`, so its row and column sums
+//!   are the degrees and it sweeps nothing;
+//! - every later iteration sweeps the columns once into one reused O(n)
+//!   scratch, `c_j = (Σ_i dr[i])·dc[j]`. That product is exactly the
+//!   previous iteration's error term `|c_j − 1|`, so the same sweep yields
+//!   the previous error, checks the tolerance before any factor changes,
+//!   and then the row sweep updates `dr` in place;
+//! - one closing [`max_col_sum_error`] sweep gives the last error.
+//!
+//! Every value is produced by the same floating-point operations on the
+//! same operands as the unfused loop of [`ruiz_seq`], so `dr`, `dc`,
+//! `history`, `error` and `iterations` are bit-identical to it at every
+//! pool size. On [`Cancelled`], `history` can lack the entry of the last
+//! completed iteration, whose error was never swept.
 
 use dsmatch_graph::{BipartiteGraph, CancelToken, Cancelled};
 use rayon::prelude::*;
 
-use crate::sinkhorn::max_col_sum_error;
+use crate::sinkhorn::{identity_col_error, max_col_sum_error};
 use crate::{ScalingConfig, ScalingResult};
 
 /// Parallel Ruiz equilibration in the 1-norm.
@@ -37,7 +57,8 @@ pub fn ruiz_into(g: &BipartiteGraph, cfg: &ScalingConfig, out: &mut ScalingResul
 
 /// [`ruiz_into`] with cooperative cancellation: the token is polled once
 /// per iteration. On [`Cancelled`] the factors in `out` are whatever the
-/// completed iterations produced, and the buffers stay reusable.
+/// completed iterations produced, and the buffers stay reusable; `history`
+/// can lack the last completed iteration's error (see the module docs).
 pub fn ruiz_cancel_into(
     g: &BipartiteGraph,
     cfg: &ScalingConfig,
@@ -49,48 +70,71 @@ pub fn ruiz_cancel_into(
     out.dc.clear();
     out.dc.resize(g.ncols(), 1.0);
     out.history.clear();
-    let mut error = f64::INFINITY;
+    let mut csums = Vec::new();
+    let mut converged = None;
     let mut done = 0usize;
-    for _ in 0..cfg.max_iterations {
+    while done < cfg.max_iterations {
         token.check()?;
-        let (dr, dc) = (&out.dr, &out.dc);
-        let rsums: Vec<f64> = (0..g.nrows())
-            .into_par_iter()
-            .map(|i| {
+        if done == 0 {
+            degree_pass(&mut out.dr, |i| g.row_degree(i));
+            degree_pass(&mut out.dc, |j| g.col_degree(j));
+        } else {
+            let dr = &out.dr;
+            let dc = &out.dc;
+            csums.resize(g.ncols(), 0.0);
+            let prev = csums
+                .par_iter_mut()
+                .enumerate()
+                .map(|(j, c)| {
+                    let s: f64 = g.col_adj(j).iter().map(|&i| dr[i as usize]).sum();
+                    *c = s * dc[j];
+                    (*c - 1.0).abs()
+                })
+                .reduce(|| 0.0, f64::max);
+            out.history.push(prev);
+            if cfg.tolerance > 0.0 && prev <= cfg.tolerance {
+                converged = Some(prev);
+                break;
+            }
+            // Row i's sum reads only its own `dr[i]` and the old `dc`, so
+            // the row update can run in place.
+            out.dr.par_iter_mut().enumerate().for_each(|(i, d)| {
                 let s: f64 = g.row_adj(i).iter().map(|&j| dc[j as usize]).sum();
-                s * dr[i]
-            })
-            .collect();
-        let csums: Vec<f64> = (0..g.ncols())
-            .into_par_iter()
-            .map(|j| {
-                let s: f64 = g.col_adj(j).iter().map(|&i| dr[i as usize]).sum();
-                s * dc[j]
-            })
-            .collect();
-        out.dr.par_iter_mut().zip(rsums.par_iter()).for_each(|(d, &r)| {
-            if r > 0.0 {
-                *d /= r.sqrt();
-            }
-        });
-        out.dc.par_iter_mut().zip(csums.par_iter()).for_each(|(d, &c)| {
-            if c > 0.0 {
-                *d /= c.sqrt();
-            }
-        });
-        done += 1;
-        error = max_col_sum_error(g, &out.dr, &out.dc);
-        out.history.push(error);
-        if cfg.tolerance > 0.0 && error <= cfg.tolerance {
-            break;
+                let r = s * *d;
+                if r > 0.0 {
+                    *d /= r.sqrt();
+                }
+            });
+            out.dc.par_iter_mut().zip(csums.par_iter()).for_each(|(d, &c)| {
+                if c > 0.0 {
+                    *d /= c.sqrt();
+                }
+            });
         }
+        done += 1;
     }
-    if done == 0 {
-        error = max_col_sum_error(g, &out.dr, &out.dc);
-    }
+    out.error = match converged {
+        Some(error) => error,
+        None if done == 0 => identity_col_error(g),
+        None => {
+            let error = max_col_sum_error(g, &out.dr, &out.dc);
+            out.history.push(error);
+            error
+        }
+    };
     out.iterations = done;
-    out.error = error;
     Ok(())
+}
+
+/// First Ruiz update of one factor vector: with every factor at one, each
+/// scaled sum is the vertex degree, so `d ← 1/√deg` without a gather.
+pub(crate) fn degree_pass(d: &mut [f64], degree: impl Fn(usize) -> usize + Sync) {
+    d.par_iter_mut().enumerate().for_each(|(v, dv)| {
+        let r = degree(v) as f64;
+        if r > 0.0 {
+            *dv /= r.sqrt();
+        }
+    });
 }
 
 /// Sequential Ruiz — identical arithmetic to [`ruiz`].

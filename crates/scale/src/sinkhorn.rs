@@ -11,6 +11,29 @@
 //! (modulo round-off), so the convergence measure is the maximum deviation
 //! of the *column* sums from one.
 //!
+//! # Fused schedule
+//!
+//! [`sinkhorn_knopp_cancel_into`] makes one gather sweep per side per
+//! iteration, `2k` sweeps over the nonzeros for `k` iterations:
+//!
+//! - the first column pass reads `dr ≡ 1`, so its sums are the column
+//!   degrees: `dc[j] = 1/deg(j)` comes from the CSC row pointers;
+//! - every later column pass computes `csum_j = Σ_i dr[i]` once. That is
+//!   the sum the previous iteration's error needs, with the same `dr` in
+//!   the same order, so the pass folds `|csum_j·dc[j] − 1|` (old `dc`)
+//!   into the previous iteration's error before it writes the new
+//!   `dc[j] = 1/csum_j`;
+//! - one closing [`max_col_sum_error`] sweep gives the last error.
+//!
+//! Every value is produced by the same floating-point operations on the
+//! same operands as the unfused loop of [`sinkhorn_knopp_seq`] (a sum of
+//! `deg` ones is exactly `deg`), so `dr`, `dc`, `history`, `error` and
+//! `iterations` are bit-identical to it at every pool size. With a
+//! tolerance, an iteration's error is known only in the next column pass,
+//! after it has overwritten `dc`; the pass then restores `dc` from a
+//! snapshot taken before it. On [`Cancelled`], `history` can lack the
+//! entry of the last completed iteration, whose error was never swept.
+//!
 //! Vertices with zero degree (possible in sprank-deficient inputs) keep
 //! their scaling factor — their value never influences any sampled entry.
 
@@ -42,13 +65,38 @@ pub fn max_col_sum_error(g: &BipartiteGraph, dr: &[f64], dc: &[f64]) -> f64 {
         .reduce(|| 0.0, f64::max)
 }
 
-fn sk_col_pass_par(g: &BipartiteGraph, dr: &[f64], dc: &mut [f64]) {
+/// Scaling error of the identity scaling, `max_j |deg(j) − 1|`, from the
+/// CSC row pointers: bit-equal to [`max_col_sum_error`] with `dr = dc = 1`
+/// (a sum of `deg` ones is exactly `deg`) without the gather sweep.
+pub(crate) fn identity_col_error(g: &BipartiteGraph) -> f64 {
+    (0..g.ncols()).map(|j| (g.col_degree(j) as f64 - 1.0).abs()).fold(0.0, f64::max)
+}
+
+/// First column pass: with `dr ≡ 1` every column sum is the degree.
+fn sk_col_pass_degrees(g: &BipartiteGraph, dc: &mut [f64]) {
     dc.par_iter_mut().enumerate().for_each(|(j, dcj)| {
-        let csum: f64 = g.col_adj(j).iter().map(|&i| dr[i as usize]).sum();
-        if csum > 0.0 {
-            *dcj = 1.0 / csum;
+        let deg = g.col_degree(j);
+        if deg > 0 {
+            *dcj = 1.0 / deg as f64;
         }
     });
+}
+
+/// Later column pass: returns the previous iteration's scaling error
+/// (`max_j |csum_j·dc[j] − 1|` with the `dc` it is about to overwrite)
+/// and writes `dc[j] = 1/csum_j`.
+fn sk_col_pass_fused(g: &BipartiteGraph, dr: &[f64], dc: &mut [f64]) -> f64 {
+    dc.par_iter_mut()
+        .enumerate()
+        .map(|(j, dcj)| {
+            let csum: f64 = g.col_adj(j).iter().map(|&i| dr[i as usize]).sum();
+            let err = (csum * *dcj - 1.0).abs();
+            if csum > 0.0 {
+                *dcj = 1.0 / csum;
+            }
+            err
+        })
+        .reduce(|| 0.0, f64::max)
 }
 
 fn sk_row_pass_par(g: &BipartiteGraph, dr: &mut [f64], dc: &[f64]) {
@@ -92,7 +140,8 @@ pub fn sinkhorn_knopp_into(g: &BipartiteGraph, cfg: &ScalingConfig, out: &mut Sc
 /// [`sinkhorn_knopp_into`] with cooperative cancellation: the token is
 /// polled once per scaling iteration. On [`Cancelled`] the factors in
 /// `out` are whatever the completed iterations produced — numerically
-/// valid, just not converged — and the buffers stay reusable.
+/// valid, just not converged — and the buffers stay reusable; `history`
+/// can lack the last completed iteration's error (see the module docs).
 pub fn sinkhorn_knopp_cancel_into(
     g: &BipartiteGraph,
     cfg: &ScalingConfig,
@@ -104,24 +153,40 @@ pub fn sinkhorn_knopp_cancel_into(
     out.dc.clear();
     out.dc.resize(g.ncols(), 1.0);
     out.history.clear();
-    let mut error = f64::INFINITY;
+    let early_exit = cfg.tolerance > 0.0;
+    let mut snapshot = Vec::new();
+    let mut converged = None;
     let mut done = 0usize;
-    for _ in 0..cfg.max_iterations {
+    while done < cfg.max_iterations {
         token.check()?;
-        sk_col_pass_par(g, &out.dr, &mut out.dc);
+        if done == 0 {
+            sk_col_pass_degrees(g, &mut out.dc);
+        } else {
+            if early_exit {
+                snapshot.clear();
+                snapshot.extend_from_slice(&out.dc);
+            }
+            let prev = sk_col_pass_fused(g, &out.dr, &mut out.dc);
+            out.history.push(prev);
+            if early_exit && prev <= cfg.tolerance {
+                out.dc.copy_from_slice(&snapshot);
+                converged = Some(prev);
+                break;
+            }
+        }
         sk_row_pass_par(g, &mut out.dr, &out.dc);
         done += 1;
-        error = max_col_sum_error(g, &out.dr, &out.dc);
-        out.history.push(error);
-        if cfg.tolerance > 0.0 && error <= cfg.tolerance {
-            break;
+    }
+    out.error = match converged {
+        Some(error) => error,
+        None if done == 0 => identity_col_error(g),
+        None => {
+            let error = max_col_sum_error(g, &out.dr, &out.dc);
+            out.history.push(error);
+            error
         }
-    }
-    if done == 0 {
-        error = max_col_sum_error(g, &out.dr, &out.dc);
-    }
+    };
     out.iterations = done;
-    out.error = error;
     Ok(())
 }
 
