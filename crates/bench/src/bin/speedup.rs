@@ -20,7 +20,7 @@
 //! - `pf_par_finish` / `hk_par_finish` / `pf_graft_finish` / `pr_finish` /
 //!   `auto_finish` — the exact finishers (`pf-par` tree-grafting BFS,
 //!   `hk-par` level-synchronized BFS, `pf-graft` incremental tree
-//!   grafting, `pr` push-relabel, and the statistics-driven `auto` pick)
+//!   grafting, `pr` push-relabel, and the fill-driven `auto` pick)
 //!   warm-started from a pre-computed two-sided heuristic matching: only
 //!   finisher work (the paper pipelines' last sequential bottleneck) is
 //!   timed. Finishers with phase structure also report their
@@ -162,9 +162,12 @@ fn main() {
 
     // Warm start for the finisher kernels: the §4 protocol's two-sided
     // heuristic matching at the sweep seed, computed once and untimed, so
-    // the finisher kernels measure only augmentation work.
+    // the finisher kernels measure only augmentation work. Two-sided
+    // Karp–Sipser is pool-stable in cardinality only, so the warm start is
+    // computed on a 1-thread pool: its mate arrays, and with them the
+    // finishers' phase counts, are then the same on every host.
     let finisher_init =
-        two_pipeline.clone().with_seed(seed).solve(&g, &mut Workspace::new()).matching;
+        two_pipeline.clone().with_seed(seed).solve(&g, &mut Workspace::with_threads(1)).matching;
     let mut pf_par_ws = AugmentWorkspace::new();
     let mut hk_par_ws = AugmentWorkspace::new();
     let mut pf_graft_ws = AugmentWorkspace::new();
@@ -178,15 +181,16 @@ fn main() {
         hopcroft_karp_par_ws(&g, Some(&finisher_init), &mut AugmentWorkspace::new()).1.phases;
     let pf_graft_phases =
         pothen_fan_graft_ws(&g, Some(&finisher_init), &mut AugmentWorkspace::new()).1.phases;
+    // `pr` is sequential; its global relabels are its phase counter.
+    let pr_phases = push_relabel_from(&g, finisher_init.clone()).1.global_relabels;
 
-    // The statistics-driven pick, resolved once (the policy is a pure
+    // The fill-driven pick, resolved once (the policy is a pure
     // function of the instance) and dispatched directly so the kernel
     // times only finisher work — the engine would add pipeline plumbing.
     let auto_pick = select_finisher(&g);
     let auto_phases = match auto_pick {
-        AlgorithmKind::PothenFanGraft => Some(pf_graft_phases),
-        AlgorithmKind::HopcroftKarpPar => Some(hk_par_phases),
-        _ => None,
+        AlgorithmKind::HopcroftKarpPar => hk_par_phases,
+        _ => pr_phases,
     };
     println!("auto finisher pick for this instance: {auto_pick}");
 
@@ -273,22 +277,19 @@ fn main() {
             run: Box::new(|| {
                 std::hint::black_box(push_relabel_from(&g, finisher_init.clone()).0.cardinality());
             }),
-            phases: None,
+            phases: Some(pr_phases),
         },
         Kernel {
             name: "auto_finish",
             run: Box::new(|| {
                 std::hint::black_box(match auto_pick {
-                    AlgorithmKind::PothenFanGraft => {
-                        pothen_fan_graft_ws(&g, Some(&finisher_init), &mut auto_ws).0.cardinality()
-                    }
                     AlgorithmKind::HopcroftKarpPar => {
                         hopcroft_karp_par_ws(&g, Some(&finisher_init), &mut auto_ws).0.cardinality()
                     }
                     _ => push_relabel_from(&g, finisher_init.clone()).0.cardinality(),
                 });
             }),
-            phases: auto_phases,
+            phases: Some(auto_phases),
         },
     ];
 

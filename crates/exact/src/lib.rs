@@ -22,7 +22,7 @@
 //!   orphan-subtree pruning (see [`pothen_fan_graft_ws`]);
 //! - [`push_relabel`] — the auction/push-relabel scheme the paper's
 //!   related work (\[9\], \[21\]) evaluates as the main alternative to
-//!   augmenting-path solvers;
+//!   augmenting-path solvers, with work-amortized global relabeling;
 //! - [`sprank`] — structural rank of a pattern matrix (maximum matching
 //!   cardinality), paper Table 3's `sprank/n` column;
 //! - [`brute_force_maximum`] — exponential oracle for property tests on

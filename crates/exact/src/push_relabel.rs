@@ -10,10 +10,28 @@
 //! push-relabel algorithm specialized to unweighted bipartite matching:
 //! every column carries a label (price) `ψ[c]`; a free row claims its
 //! cheapest adjacent column, evicting the previous owner, and raises the
-//! column's label to `second_cheapest + 1`. Labels never decrease and a
-//! row whose cheapest reachable column has label ≥ `n` can have no
-//! augmenting path left, so it retires. Worst-case `O(n·τ)`; typically far
-//! faster because evictions are local.
+//! column's label to `second_cheapest + 1`. A row whose cheapest reachable
+//! column has label ≥ `n` can have no augmenting path left, so it retires.
+//! Worst-case `O(n·τ)`; typically far faster because evictions are local.
+//!
+//! **Global relabeling.** A bid raises one label by the runner-up margin,
+//! so on long-path instances (meshes) labels climb one bid at a time.
+//! Kaya–Langguth–Manne–Uçar (C&OR 2013) name periodic *global relabeling*
+//! as what makes push-relabel competitive across families: once the bid
+//! loop has scanned `2·(nnz + ncols)` adjacency entries (the constant
+//! `GLOBAL_RELABEL_WORK`), one BFS from every free column over the CSC
+//! (column → adjacent row → that row's mate) sets each label to its exact
+//! alternating distance to a free column, and every column the BFS cannot
+//! reach to the retirement limit, so rows that can only bid on such
+//! columns retire at their next pop. The budget amortizes each
+//! `O(nnz + ncols)` BFS against twice its cost in bidding.
+//!
+//! **Labels never decrease.** Every bid keeps `ψ[c] ≤ 1 + ψ[c']` for each
+//! other column `c'` adjacent to `c`'s mate, and free columns keep
+//! `ψ = 0` (columns never become free again), so by induction along any
+//! alternating path `ψ[c]` is a lower bound on `c`'s alternating distance.
+//! The BFS computes exactly that distance, so a global relabel can only
+//! raise a label, and the exact distances satisfy the same bid invariant.
 
 use dsmatch_graph::{BipartiteGraph, CancelToken, Cancelled, Matching, VertexId, NIL};
 
@@ -22,10 +40,12 @@ use dsmatch_graph::{BipartiteGraph, CancelToken, Cancelled, Matching, VertexId, 
 pub struct PushRelabelStats {
     /// Total bids (matches + evictions) performed.
     pub pushes: usize,
-    /// Label increases.
+    /// Label increases by bids (global relabels are counted separately).
     pub relabels: usize,
     /// Rows retired as unmatchable.
     pub retired: usize,
+    /// Global relabeling BFS sweeps run.
+    pub global_relabels: usize,
 }
 
 /// Maximum-cardinality matching via the auction / push-relabel scheme.
@@ -47,6 +67,11 @@ pub fn push_relabel_from(g: &BipartiteGraph, initial: Matching) -> (Matching, Pu
 /// small enough that cancellation latency stays well under a millisecond,
 /// large enough that the poll never shows up in a profile.
 const CANCEL_POLL_INTERVAL: usize = 4096;
+
+/// Bid work between two global relabels, in units of one BFS sweep
+/// (`nnz + ncols` adjacency entries): the bid loop scans this many sweeps'
+/// worth of row adjacency before the next global relabel runs.
+const GLOBAL_RELABEL_WORK: usize = 2;
 
 /// [`push_relabel_from`] with cooperative cancellation: the token is
 /// polled once up front and then every `CANCEL_POLL_INTERVAL` queue
@@ -75,6 +100,10 @@ pub fn push_relabel_cancel(
         .filter(|&i| rmate[i as usize] == NIL && g.row_degree(i as usize) > 0)
         .collect();
 
+    let budget = GLOBAL_RELABEL_WORK * (g.nnz() + n_c);
+    let mut work = 0usize;
+    let mut frontier: Vec<u32> = Vec::new();
+
     // One up-front poll so an already-expired deadline refuses the run
     // deterministically, even on instances smaller than the poll interval.
     token.check()?;
@@ -89,11 +118,18 @@ pub fn push_relabel_cancel(
         if rmate[r] != NIL {
             continue;
         }
+        if work >= budget {
+            work = 0;
+            global_relabel(g, &rmate, &cmate, &mut psi, limit, &mut frontier);
+            stats.global_relabels += 1;
+        }
+        let adj = g.row_adj(r);
+        work += adj.len();
         // Find cheapest and second-cheapest adjacent columns.
         let mut best = NIL;
         let mut best_psi = u32::MAX;
         let mut second_psi = u32::MAX;
-        for &c in g.row_adj(r) {
+        for &c in adj {
             let p = psi[c as usize];
             if p < best_psi {
                 second_psi = best_psi;
@@ -124,6 +160,41 @@ pub fn push_relabel_cancel(
         }
     }
     Ok((Matching::from_mates(rmate, cmate), stats))
+}
+
+/// Set every label to its exact alternating distance to a free column, by
+/// one BFS from all free columns (column → adjacent row → the row's mate);
+/// columns the BFS cannot reach get `limit`. `frontier` is reused scratch.
+fn global_relabel(
+    g: &BipartiteGraph,
+    rmate: &[VertexId],
+    cmate: &[VertexId],
+    psi: &mut [u32],
+    limit: u32,
+    frontier: &mut Vec<u32>,
+) {
+    #[cfg(debug_assertions)]
+    let before = psi.to_vec();
+    psi.fill(limit);
+    frontier.clear();
+    frontier.extend((0..cmate.len() as u32).filter(|&c| cmate[c as usize] == NIL));
+    for &c in frontier.iter() {
+        psi[c as usize] = 0;
+    }
+    let mut head = 0;
+    while let Some(&c) = frontier.get(head) {
+        head += 1;
+        let next = psi[c as usize] + 1;
+        for &r in g.col_adj(c as usize) {
+            let m = rmate[r as usize];
+            if m != NIL && psi[m as usize] == limit {
+                psi[m as usize] = next;
+                frontier.push(m);
+            }
+        }
+    }
+    #[cfg(debug_assertions)]
+    debug_assert!(before.iter().zip(psi.iter()).all(|(b, p)| b <= p), "a label decreased");
 }
 
 #[cfg(test)]

@@ -54,75 +54,6 @@ impl DegreeStats {
     pub fn cols_of(a: &Csr) -> Self {
         Self::from_degrees(a.col_degrees().into_iter().map(|d| d as usize))
     }
-
-    /// Coefficient of variation `σ / mean` — a scale-free skew measure
-    /// (`0` for regular degree sequences, `> 1` for heavy-tailed ones such
-    /// as RMAT/power-law families). `0` when the mean is zero.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.variance.sqrt() / self.mean
-        }
-    }
-}
-
-/// Whole-instance shape summary: both degree sequences plus the global
-/// density and aspect ratio. This is what family-dependent algorithm
-/// selection (Kaya–Langguth–Manne–Uçar 2013) keys on — cheap to compute
-/// (one O(n + m) pass) relative to any exact solve.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct InstanceStats {
-    /// Row count.
-    pub nrows: usize,
-    /// Column count.
-    pub ncols: usize,
-    /// Nonzero (edge) count.
-    pub nnz: usize,
-    /// Row-degree summary.
-    pub rows: DegreeStats,
-    /// Column-degree summary.
-    pub cols: DegreeStats,
-}
-
-impl InstanceStats {
-    /// Compute all statistics of a matrix in one pass per side.
-    pub fn of(a: &Csr) -> Self {
-        Self {
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            nnz: a.nnz(),
-            rows: DegreeStats::rows_of(a),
-            cols: DegreeStats::cols_of(a),
-        }
-    }
-
-    /// Fill fraction `nnz / (nrows · ncols)`; `0` for empty shapes.
-    pub fn density(&self) -> f64 {
-        let cells = self.nrows as f64 * self.ncols as f64;
-        if cells == 0.0 {
-            0.0
-        } else {
-            self.nnz as f64 / cells
-        }
-    }
-
-    /// Shape skew `max(nrows, ncols) / min(nrows, ncols)`; `1` for square
-    /// (and degenerate 0-dimension) instances.
-    pub fn aspect(&self) -> f64 {
-        let (lo, hi) = (self.nrows.min(self.ncols), self.nrows.max(self.ncols));
-        if lo == 0 {
-            1.0
-        } else {
-            hi as f64 / lo as f64
-        }
-    }
-
-    /// Degree skew: the larger coefficient of variation of the two degree
-    /// sequences (either side being heavy-tailed imbalances BFS forests).
-    pub fn degree_skew(&self) -> f64 {
-        self.rows.cv().max(self.cols.cv())
-    }
 }
 
 impl std::fmt::Display for DegreeStats {
@@ -174,30 +105,6 @@ mod tests {
         let c = DegreeStats::cols_of(&a);
         assert_eq!(c.max, 2);
         assert_eq!(c.min, 1);
-    }
-
-    #[test]
-    fn cv_is_scale_free() {
-        assert_eq!(DegreeStats::from_degrees([4usize, 4, 4]).cv(), 0.0);
-        assert_eq!(DegreeStats::from_degrees(std::iter::empty()).cv(), 0.0);
-        // degrees 1, 3: mean 2, σ 1 ⇒ cv 0.5; scaling by 10 keeps cv.
-        assert!((DegreeStats::from_degrees([1usize, 3]).cv() - 0.5).abs() < 1e-12);
-        assert!((DegreeStats::from_degrees([10usize, 30]).cv() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn instance_stats_shape_measures() {
-        let a = Csr::from_dense(&[&[1, 1, 1], &[1, 0, 0]]);
-        let s = InstanceStats::of(&a);
-        assert_eq!((s.nrows, s.ncols, s.nnz), (2, 3, 4));
-        assert!((s.density() - 4.0 / 6.0).abs() < 1e-12);
-        assert!((s.aspect() - 1.5).abs() < 1e-12);
-        assert!(s.degree_skew() > 0.0);
-        // Degenerate shapes stay finite.
-        let empty = InstanceStats::of(&Csr::from_dense(&[]));
-        assert_eq!(empty.density(), 0.0);
-        assert_eq!(empty.aspect(), 1.0);
-        assert_eq!(empty.degree_skew(), 0.0);
     }
 
     #[test]

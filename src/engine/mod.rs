@@ -17,7 +17,7 @@
 //! - [`AlgorithmKind`] — the registry of all fifteen algorithms,
 //!   including the paper's Algorithm 4 (`ksmt`), the §5 one-out undirected
 //!   variant (`one-out`), the multicore exact finishers
-//!   (`hk-par`/`pf-par`/`pf-graft`) and the statistics-driven `auto`
+//!   (`hk-par`/`pf-par`/`pf-graft`) and the fill-driven `auto`
 //!   finisher ([`select_finisher`]);
 //! - [`WeightedKind`] — the weighted workload registry
 //!   (`greedy-w`/`path-grow`/`suitor`/`suitor-par`): heuristics that

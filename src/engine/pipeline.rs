@@ -328,7 +328,8 @@ pub(crate) struct StageCounters {
     /// Augmenting paths applied (exact engines that count them).
     pub augmentations: Option<usize>,
     /// Search phases executed, including the final certifying phase
-    /// (Hopcroft–Karp and the tree-grafting Pothen–Fan variants).
+    /// (Hopcroft–Karp and the tree-grafting Pothen–Fan variants); global
+    /// relabels for `pr`.
     pub phases: Option<usize>,
     /// The concrete engine an [`AlgorithmKind::Auto`] stage picked.
     pub selected: Option<AlgorithmKind>,
@@ -406,12 +407,21 @@ pub(crate) fn run_augment(
             )
         }
         AlgorithmKind::PushRelabel => {
-            let (m, _) = push_relabel_cancel(
-                g,
-                initial.unwrap_or_else(|| Matching::new(g.nrows(), g.ncols())),
-                token,
-            )?;
-            (m, StageCounters::default())
+            let initial = initial.unwrap_or_else(|| Matching::new(g.nrows(), g.ncols()));
+            let before = initial.cardinality();
+            let (m, stats) = push_relabel_cancel(g, initial, token)?;
+            // Bids re-route mates rather than apply paths, so the net
+            // cardinality gain stands in for augmentations, and the global
+            // relabels are the sweeps that bound the run like phases do.
+            let gained = m.cardinality() - before;
+            (
+                m,
+                StageCounters {
+                    augmentations: Some(gained),
+                    phases: Some(stats.global_relabels),
+                    ..StageCounters::default()
+                },
+            )
         }
         AlgorithmKind::BfsAugment => {
             let (m, stats) =
@@ -458,7 +468,7 @@ pub(crate) fn run_augment(
             )
         }
         AlgorithmKind::Auto => {
-            // Pick from instance statistics, run the pick, and surface the
+            // Pick from the instance's fill, run the pick, and surface the
             // decision so reports (and serve delta replies) can show it.
             let pick = super::registry::select_finisher(g);
             debug_assert!(pick.is_exact() && pick != AlgorithmKind::Auto);

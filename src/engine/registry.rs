@@ -1,7 +1,6 @@
 //! The algorithm registry: every matching algorithm in the workspace under
 //! one enum, each usable as a pipeline stage.
 
-use dsmatch_graph::stats::InstanceStats;
 use dsmatch_graph::BipartiteGraph;
 
 /// Every matching algorithm the workspace implements.
@@ -57,15 +56,14 @@ pub enum AlgorithmKind {
     ///
     /// [`PothenFanPar`]: AlgorithmKind::PothenFanPar
     PothenFanGraft,
-    /// Exact: statistics-driven auto-selection between [`PushRelabel`],
-    /// [`HopcroftKarpPar`] and [`PothenFanGraft`] (see [`select_finisher`])
-    /// — the Kaya–Langguth–Manne–Uçar (2013) finding that the winning
-    /// finisher is matrix-family-dependent, as a registry entry. The
+    /// Exact: fill-driven auto-selection (see [`select_finisher`]) —
+    /// [`HopcroftKarpPar`] on dense instances, [`PushRelabel`] with global
+    /// relabeling on every sparse one, following Kaya–Langguth–Manne–Uçar
+    /// (2013), who measured the winning finisher family by family. The
     /// choice lands in the stage report's `selected` field.
     ///
     /// [`PushRelabel`]: AlgorithmKind::PushRelabel
     /// [`HopcroftKarpPar`]: AlgorithmKind::HopcroftKarpPar
-    /// [`PothenFanGraft`]: AlgorithmKind::PothenFanGraft
     Auto,
 }
 
@@ -220,33 +218,30 @@ impl std::fmt::Display for WeightedKind {
     }
 }
 
-/// Pick the exact finisher for an instance from its shape statistics — the
-/// policy behind [`AlgorithmKind::Auto`].
+/// Pick the exact finisher for an instance from its fill — the policy
+/// behind [`AlgorithmKind::Auto`].
 ///
 /// Kaya–Langguth–Manne–Uçar (2013) measured that no augmenting-path or
-/// push-relabel solver wins across matrix families; the family signals they
-/// identify map onto two cheap shape measures:
+/// push-relabel solver wins across matrix families, and that push-relabel
+/// with periodic global relabeling is the fastest across most of them.
+/// Warm-started from `scale:sk:5,two`, the engines split the same way here:
 ///
 /// - **dense** instances (fill ≥ 5%) have short augmenting paths and wide
 ///   BFS levels — Hopcroft–Karp's shortest-path phases shine, so `hk-par`;
-/// - **skewed** degree sequences (coefficient of variation > 1 on either
-///   side, the RMAT/power-law regime) imbalance BFS forests, while
-///   push-relabel's local row-by-row bidding is indifferent to hubs, so
-///   `pr`;
-/// - everything else — the uniform sparse regime of `gen:er` and meshes —
-///   goes to the grafted Pothen–Fan forest, `pf-graft`.
+/// - everything else — uniform, mesh, road and heavy-tailed sparse
+///   families alike — goes to `pr`, whose local bidding needs no search
+///   forest and whose global relabels keep long-path families (meshes)
+///   from climbing labels one bid at a time.
 ///
-/// The policy is deterministic, costs one O(n + m) statistics pass
-/// ([`InstanceStats`]), and is pinned per generator family by the
-/// engine-matrix tests.
+/// The policy is deterministic, costs O(1) (fill needs only `nnz`, `nrows`
+/// and `ncols`), and is pinned per generator family by the engine-matrix
+/// tests.
 pub fn select_finisher(g: &BipartiteGraph) -> AlgorithmKind {
-    let stats = InstanceStats::of(g.csr());
-    if stats.density() >= 0.05 {
+    let cells = g.nrows() as f64 * g.ncols() as f64;
+    if cells > 0.0 && g.nnz() as f64 >= 0.05 * cells {
         AlgorithmKind::HopcroftKarpPar
-    } else if stats.degree_skew() > 1.0 {
-        AlgorithmKind::PushRelabel
     } else {
-        AlgorithmKind::PothenFanGraft
+        AlgorithmKind::PushRelabel
     }
 }
 
@@ -319,14 +314,15 @@ mod tests {
         let dense =
             BipartiteGraph::from_csr(Csr::from_dense(&[&[1, 1, 1], &[1, 1, 1], &[1, 1, 1]]));
         assert_eq!(select_finisher(&dense), AlgorithmKind::HopcroftKarpPar);
-        // Sparse + uniform (one diagonal) ⇒ pf-graft.
+        // Sparse + uniform (one diagonal) ⇒ pr.
         let mut t = dsmatch_graph::TripletMatrix::new(100, 100);
         for i in 0..100 {
             t.push(i, i);
         }
         let uniform = BipartiteGraph::from_csr(t.into_csr());
-        assert_eq!(select_finisher(&uniform), AlgorithmKind::PothenFanGraft);
-        // Sparse + one hub column (star + diagonal) ⇒ skew > 1 ⇒ pr.
+        assert_eq!(select_finisher(&uniform), AlgorithmKind::PushRelabel);
+        // Sparse + one hub column (star + diagonal) ⇒ pr as well: degree
+        // skew no longer splits the sparse regime.
         let mut t = dsmatch_graph::TripletMatrix::new(100, 100);
         for i in 0..100 {
             t.push(i, i);
@@ -334,6 +330,9 @@ mod tests {
         }
         let skewed = BipartiteGraph::from_csr(t.into_csr());
         assert_eq!(select_finisher(&skewed), AlgorithmKind::PushRelabel);
+        // Empty shapes have no fill ⇒ pr.
+        let empty = BipartiteGraph::from_csr(Csr::empty(0, 0));
+        assert_eq!(select_finisher(&empty), AlgorithmKind::PushRelabel);
     }
 
     #[test]

@@ -14,15 +14,18 @@ pub struct StageReport {
     /// Matching cardinality after the stage (`None` for the scale stage).
     pub cardinality: Option<usize>,
     /// Augmenting paths applied (augment finishers and exact stages that
-    /// report work counters).
+    /// report work counters). For `pr`, which re-routes mates by bids
+    /// instead of applying paths, the cardinality the stage gained.
     pub augmentations: Option<usize>,
     /// Search phases executed, including the final certifying phase
     /// (the Hopcroft–Karp engines and the tree-grafting `pf-par`). A warm
     /// start that is already maximum finishes in exactly one phase — the
-    /// counter behind the serve daemon's cheap delta re-solves.
+    /// counter behind the serve daemon's cheap delta re-solves. For `pr`,
+    /// the global relabels it ran (`0` when the bids finish inside the
+    /// first work budget).
     pub phases: Option<usize>,
     /// For the `auto` finisher: the spec name of the exact engine its
-    /// statistics policy actually ran (`None` for every other stage).
+    /// fill policy actually ran (`None` for every other stage).
     pub selected: Option<String>,
     /// Total matching weight after a weighted stage (`None` for
     /// cardinality stages) — the quality axis of the weighted workloads,

@@ -93,7 +93,7 @@
 //! by **patching the cached CSR in place** ([`Csr::patched`]: one merge
 //! pass over the touched rows, byte-identical to a full rebuild) and
 //! **re-augments from the cached mate array** with a warm-started exact
-//! finisher (`pf-par` by default, `auto` for the statistics-driven pick)
+//! finisher (`pf-par` by default, `auto` for the fill-driven pick)
 //! instead of solving from scratch — the tree-grafting warm-start lineage.
 //! The reply's `"warm":true`, the stage's `"phases"` counter and (under
 //! `auto`) its `"selected"` engine make the saving observable: a delta

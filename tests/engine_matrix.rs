@@ -56,14 +56,14 @@ fn all_algorithms_valid_on_all_families() {
 fn auto_finisher_choice_is_family_dependent_and_reported() {
     // The Kaya–Langguth–Manne–Uçar motivation for `auto`: different
     // families have different winning finishers. Pin the policy's pick on
-    // three families spanning all three outcomes — the uniform sparse
-    // `er_d4` (grafted forest), the heavy-tailed `rmat` (push-relabel,
-    // degree CV ≈ 2.5), and the dense-blocked `adversarial` (fill ≈ 27%,
-    // Hopcroft–Karp) — and check the pick surfaces as the augment stage's
-    // `selected` field in both the report struct and its JSON.
+    // three families spanning both outcomes — the uniform sparse `er_d4`
+    // and the heavy-tailed `rmat` (push-relabel with global relabeling),
+    // and the dense-blocked `adversarial` (fill ≈ 27%, Hopcroft–Karp) —
+    // and check the pick surfaces as the augment stage's `selected` field
+    // in both the report struct and its JSON.
     use dsmatch::engine::select_finisher;
     let expected = [
-        ("er_d4", AlgorithmKind::PothenFanGraft),
+        ("er_d4", AlgorithmKind::PushRelabel),
         ("rmat", AlgorithmKind::PushRelabel),
         ("adversarial", AlgorithmKind::HopcroftKarpPar),
     ];

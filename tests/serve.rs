@@ -263,8 +263,8 @@ fn delta_with_auto_finisher_reports_the_selected_engine() {
         .expect("delta report stages");
     let stage = stages.last().expect("delta stage");
     assert_eq!(stage.get("stage").and_then(Json::as_str), Some("delta:auto"));
-    // Sparse + uniform degrees: the policy resolves to the grafted forest.
-    assert_eq!(stage.get("selected").and_then(Json::as_str), Some("pf-graft"));
+    // Sparse: the fill policy resolves to push-relabel.
+    assert_eq!(stage.get("selected").and_then(Json::as_str), Some("pr"));
     let card = delta
         .get("report")
         .and_then(|r| r.get("cardinality"))
